@@ -5,7 +5,7 @@ import repro.eval.tables.Tables
 
 /** Shared SparkSession builder for spark-submit entrypoints. */
 private object JobSession {
-  def create(name: String): SparkSession = SparkSession.builder
+  def create(name: String): SparkSession = SparkSession.builder()
     .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
     .appName(name)
     .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

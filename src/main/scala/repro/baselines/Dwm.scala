@@ -6,7 +6,7 @@ import repro.eval.StreamSystem
 
 /** Dynamic Weighted Majority (Kolter & Maloof 2007; paper Table VI, 10
   * Hoeffding-tree experts). Experts vote weighted; a wrong expert's weight
-  * is multiplied by β every `period` steps, weights below θ prune the
+  * is multiplied by β every `Period` steps, weights below θ prune the
   * expert, and a wrong ensemble prediction adds a fresh expert. DWM keeps
   * one evolving ensemble, so its model id is constant — which is exactly
   * why its C-F1 is capped (paper §II / Table VI).
@@ -14,20 +14,16 @@ import repro.eval.StreamSystem
 final class Dwm(
     numFeatures: Int,
     numClasses: Int,
-    maxExperts: Int = 10,
-    beta: Double = 0.5,
-    theta: Double = 0.01,
-    period: Int = 5,
-    treeCfg: HoeffdingTreeConfig = HoeffdingTreeConfig(),
     seed: Long = 42,
 ) extends StreamSystem {
+  import Dwm._
 
   val name = "DWM"
 
   private final class Expert(val tree: HoeffdingTree, var weight: Double) extends Serializable
 
   private val experts = mutable.ArrayBuffer(new Expert(
-    new HoeffdingTree(numFeatures, numClasses, treeCfg, seed), 1.0))
+    new HoeffdingTree(numFeatures, numClasses, TreeConfig, seed), 1.0))
   private var i = 0L
   private var created = 1
 
@@ -49,24 +45,24 @@ final class Dwm(
   def step(x: Array[Double], y: Int): (Int, Int) = {
     i += 1
     val (global, preds) = vote(x)
-    val update = i % period == 0
+    val update = i % Period == 0
     if (update) {
       var e = 0
       while (e < experts.length) {
-        if (preds(e) != y) experts(e).weight *= beta
+        if (preds(e) != y) experts(e).weight *= Beta
         e += 1
       }
       val mx = experts.map(_.weight).max
       if (mx > 0) experts.foreach(ex => ex.weight /= mx)
-      experts.filterInPlace(_.weight >= theta)
+      experts.filterInPlace(_.weight >= Theta)
       if (experts.isEmpty || global != y) {
-        if (experts.length >= maxExperts) {
+        if (experts.length >= MaxExperts) {
           val worst = experts.minBy(_.weight)
           experts -= worst
         }
         created += 1
         experts += new Expert(
-          new HoeffdingTree(numFeatures, numClasses, treeCfg, seed + created), 1.0)
+          new HoeffdingTree(numFeatures, numClasses, TreeConfig, seed + created), 1.0)
       }
     }
     experts.foreach(_.tree.train(x, y))
@@ -74,4 +70,16 @@ final class Dwm(
   }
 
   def numExperts: Int = experts.length
+}
+
+object Dwm {
+  private val TreeConfig = HoeffdingTreeConfig()
+  /** Ensemble size cap (the paper's 10 experts); the weakest is evicted. */
+  private final val MaxExperts = 10
+  /** β: multiplicative penalty of a wrong expert's weight. */
+  private final val Beta = 0.5
+  /** θ: weight below which an expert is pruned. */
+  private final val Theta = 0.01
+  /** Steps between weight updates, pruning and expert creation. */
+  private final val Period = 5
 }

@@ -11,16 +11,15 @@ import repro.eval.StreamSystem
 final class Htcd(
     numFeatures: Int,
     numClasses: Int,
-    treeCfg: HoeffdingTreeConfig = HoeffdingTreeConfig(),
-    adwinDelta: Double = 0.002,
     seed: Long = 42,
 ) extends StreamSystem {
+  import Htcd._
 
   val name = "HTCD"
 
   private var modelId = 0
-  private var tree    = new HoeffdingTree(numFeatures, numClasses, treeCfg, seed)
-  private var adwin   = new Adwin(adwinDelta)
+  private var tree    = new HoeffdingTree(numFeatures, numClasses, TreeConfig, seed)
+  private var adwin   = new Adwin(AdwinDelta)
 
   var driftCount: Int = 0
 
@@ -30,9 +29,15 @@ final class Htcd(
     if (adwin.add(if (l != y) 1.0 else 0.0)) {
       driftCount += 1
       modelId += 1
-      tree = new HoeffdingTree(numFeatures, numClasses, treeCfg, seed + modelId)
-      adwin = new Adwin(adwinDelta)
+      tree = new HoeffdingTree(numFeatures, numClasses, TreeConfig, seed + modelId)
+      adwin = new Adwin(AdwinDelta)
     }
     (l, modelId)
   }
+}
+
+object Htcd {
+  private val TreeConfig = HoeffdingTreeConfig()
+  /** ADWIN's confidence on the 0/1 error sequence (MOA's default). */
+  private final val AdwinDelta = 0.002
 }

@@ -35,7 +35,7 @@ final class HoeffdingTree(
     val numClasses: Int,
     cfg: HoeffdingTreeConfig = HoeffdingTreeConfig(),
     seed: Long = 17,
-) extends IncrementalClassifier {
+) extends Serializable {
 
   private val rng = new Random(seed)
 
@@ -109,10 +109,22 @@ final class HoeffdingTree(
 
   // ---------------------------------------------------------------- predict
 
+  /** Class-probability estimates for `x` (sums to 1 when any class has been
+    * seen; uniform before any training).
+    */
   def predictProba(x: Array[Double]): Array[Double] = {
     var n = root
     while (n.isInstanceOf[Split]) n = n.asInstanceOf[Split].route(x)
     n.asInstanceOf[Leaf].leafProba(x)
+  }
+
+  /** Most probable class for `x`. */
+  def predict(x: Array[Double]): Int = {
+    val p = predictProba(x)
+    var best = 0
+    var i = 1
+    while (i < p.length) { if (p(i) > p(best)) best = i; i += 1 }
+    best
   }
 
   /** Saabas-style attribution: walking root→leaf, the change in the
@@ -140,6 +152,7 @@ final class HoeffdingTree(
 
   // ------------------------------------------------------------------ train
 
+  /** Incorporate one labelled observation with the given weight. */
   def train(x: Array[Double], y: Int, weight: Double = 1.0): Unit = {
     var n = root
     n.classCounts(y) += weight

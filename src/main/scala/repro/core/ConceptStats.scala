@@ -29,10 +29,6 @@ final class RunningVec(val dim: Int) extends Serializable {
   def meanVector: Array[Double] = means.clone()
   def totalCount: Double = if (dim == 0) 0 else counts(0)
 
-  /** Forget selected dimensions (classifier-plasticity reset, paper §IV). */
-  def resetDims(idx: IterableOnce[Int]): Unit =
-    idx.iterator.foreach { i => counts(i) = 0; means(i) = 0; m2s(i) = 0 }
-
   /** Soft plasticity: keep each dim's mean/σ but shrink its effective count
     * so subsequent fingerprints move the distribution `1/factor`× faster.
     * Avoids the discontinuity a hard reset would inject into similarity.
@@ -58,7 +54,6 @@ final class RunningScalar extends Serializable {
   def count: Double = n
   def mean: Double  = mu
   def std: Double   = if (n > 1) math.sqrt(math.max(m2 / n, 0.0)) else 0.0
-  def reset(): Unit = { n = 0; mu = 0; m2 = 0 }
 }
 
 /** Everything the repository stores per concept (paper Alg. 1 line 26):
@@ -91,8 +86,8 @@ final class ConceptState(
     */
   val sampleFps = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
 
-  def addSample(fp: Array[Double], cap: Int = 8): Unit = {
-    if (sampleFps.length >= cap) sampleFps.remove(0)
+  def addSample(fp: Array[Double]): Unit = {
+    if (sampleFps.length >= ConceptState.SampleCap) sampleFps.remove(0)
     sampleFps += fp
   }
 
@@ -147,4 +142,6 @@ object ConceptState {
   val MaxPerActivation = 60
   /** Normal-similarity samples recorded after each freeze. */
   val SimBudget = 30
+  /** Retained sample fingerprints; the oldest is evicted beyond this. */
+  val SampleCap = 8
 }

@@ -7,7 +7,7 @@ import repro.eval.{Probeable, ProbeResult, StreamSystem}
 
 /** FiCSUM parameters (paper §VI-2). Window/gap defaults are the paper's
   * tuned values scaled to this reproduction's shorter segments: w=50
-  * (paper 75), buffer ratio 0.25, P_C=5 (paper 3), P_S=50 (paper 25).
+  * (paper 75), buffer ratio 0.25, P_C=3 (as the paper), P_S=50 (paper 25).
   */
 final case class FiCSUMConfig(
     windowSize: Int = 50,
@@ -72,7 +72,6 @@ final class FiCSUM(
   private var simEwma: Double = Double.NaN
   private var normEwma: Double = Double.NaN
   private var breachCount: Int = 0
-  @transient private var lastComparison: (Array[Double], Array[Double]) = null
   private var pendingSecondCheck: Long = -1L
   private var newConceptFromLastDrift: Option[ConceptState] = None
 
@@ -82,11 +81,6 @@ final class FiCSUM(
   /** Diagnostics counters. */
   var fingerprintUpdates: Long = 0
   var detectorUpdates: Long = 0
-
-  /** Optional hook receiving (obsIndex, simA) for each detector update —
-    * used by diagnostics and the streaming-layer equivalence test.
-    */
-  @transient var simHook: (Long, Double) => Unit = null
 
   /** Repository size (diagnostics). */
   def repositorySize: Int = repo.length
@@ -110,11 +104,8 @@ final class FiCSUM(
   private def simTo(s: ConceptState, raw: Array[Double], weights: Array[Double]): Double =
     Similarity.sim(normalizer.scale(s.stats.meanVector), normalizer.scale(raw), weights)
 
-  @transient var debugSelection: Boolean = false
-
   private def selectModel(
       win: IndexedSeq[Labeled],
-      weights: Array[Double],
       exclude: Option[ConceptState],
   ): Option[ConceptState] = {
     // Average the tested similarity over staggered sub-windows of the
@@ -149,12 +140,6 @@ final class FiCSUM(
     val candidates = scored.filter { case (_, sim, mu, sd) =>
       mu >= 0.2 && math.abs(sim - mu) <= math.max(2 * sd, cfg.acceptMinBand)
     }
-    if (debugSelection) {
-      val desc = scored.map { case (s, sim, mu, sd) =>
-        f"c${s.id}:sim=$sim%.3f mu=$mu%.3f sd=$sd%.3f"
-      }.mkString("  ")
-      Console.err.println(s"[select @$i] $desc -> ${candidates.map(_._1.id).mkString(",")}")
-    }
     // Paper: "recurrence of the accepted M with highest Sim_WM".
     if (candidates.isEmpty) None
     else Some(candidates.maxBy { case (_, sim, _, _) => sim }._1)
@@ -182,8 +167,8 @@ final class FiCSUM(
     }
   }
 
-  private def onDrift(win: IndexedSeq[Labeled], weights: Array[Double]): Unit = {
-    val chosen = selectModel(win, weights, exclude = None)
+  private def onDrift(win: IndexedSeq[Labeled]): Unit = {
+    val chosen = selectModel(win, exclude = None)
     if (chosen.exists(_ eq active)) {
       // The recent window still matches the active concept's normal band:
       // a detector false alarm. Keep the representation and buffers; only
@@ -216,7 +201,7 @@ final class FiCSUM(
     newConceptFromLastDrift match {
       case Some(fresh) if (active eq fresh) && buf.length >= w =>
         val win = window(tail = true)
-        selectModel(win, lastWeights, exclude = Some(fresh)) match {
+        selectModel(win, exclude = Some(fresh)) match {
           case Some(s) =>
             repo -= fresh
             active = s
@@ -276,13 +261,11 @@ final class FiCSUM(
       if (active.frozen && active.stats.totalCount >= 2 && active.simStats.count >= 2) {
         detectorUpdates += 1
         val simA = simTo(active, fA, weights)
-        lastComparison = (fA, weights)
         // EWMA smoothing: consecutive fingerprints overlap by w−P_C
         // observations, so raw sims carry heavy-tailed sampling noise that
         // slows ADWIN's cut; smoothing trades a little lag for a much
         // cleaner level shift.
         simEwma = if (simEwma.isNaN) simA else 0.6 * simEwma + 0.4 * simA
-        if (simHook != null) simHook(i, simEwma)
         // Fast path: a deep, sustained breach of the concept's normal
         // similarity band is called immediately rather than waiting for
         // ADWIN's conservative bound to catch up — at these segment lengths
@@ -296,7 +279,7 @@ final class FiCSUM(
         // on stationary values so arming starts from a real baseline
         // instead of cutting on its first few (still-settling) values.
         val armed = active.simBudget <= 0
-        if (armed && (cut || breachCount >= 5)) onDrift(winA, weights)
+        if (armed && (cut || breachCount >= 5)) onDrift(winA)
       }
     }
 
@@ -312,19 +295,6 @@ final class FiCSUM(
     if (pendingSecondCheck >= 0 && i >= pendingSecondCheck) secondCheck()
 
     (l, active.id)
-  }
-
-  /** Diagnostics: per-dim (name, scaledActiveMean, scaledFA, weightedDev)
-    * of the latest detector comparison, sorted by |weightedDev| descending.
-    */
-  def lastDeviations(): IndexedSeq[(String, Double, Double, Double)] = {
-    if (lastComparison == null) return IndexedSeq.empty
-    val (fA, weights) = lastComparison
-    val a = normalizer.scale(active.stats.meanVector)
-    val b = normalizer.scale(fA)
-    spec.dimNames.indices
-      .map(i => (spec.dimNames(i), a(i), b(i), weights(i) * (a(i) - b(i))))
-      .sortBy { case (_, _, _, d) => -math.abs(d) }
   }
 
   // ----------------------------------------------------------------- probe
@@ -345,28 +315,27 @@ final class FiCSUM(
 /** Factories for the paper's evaluation variants. */
 object FiCSUM {
 
-  def full(d: Int, k: Int, cfg: FiCSUMConfig = FiCSUMConfig(), seed: Long = 42): FiCSUM =
-    new FiCSUM("FiCSUM", d, k, FingerprintSpec.full(d), cfg, seed)
+  def full(d: Int, k: Int, seed: Long = 42): FiCSUM =
+    new FiCSUM("FiCSUM", d, k, FingerprintSpec.full(d), seed = seed)
 
-  def supervised(d: Int, k: Int, cfg: FiCSUMConfig = FiCSUMConfig(), seed: Long = 42): FiCSUM =
-    new FiCSUM("S-MI", d, k, FingerprintSpec.supervised(d), cfg, seed)
+  def supervised(d: Int, k: Int, seed: Long = 42): FiCSUM =
+    new FiCSUM("S-MI", d, k, FingerprintSpec.supervised(d), seed = seed)
 
-  def unsupervised(d: Int, k: Int, cfg: FiCSUMConfig = FiCSUMConfig(), seed: Long = 42): FiCSUM =
-    new FiCSUM("U-MI", d, k, FingerprintSpec.unsupervised(d), cfg, seed)
+  def unsupervised(d: Int, k: Int, seed: Long = 42): FiCSUM =
+    new FiCSUM("U-MI", d, k, FingerprintSpec.unsupervised(d), seed = seed)
 
-  def errorRate(d: Int, k: Int, cfg: FiCSUMConfig = FiCSUMConfig(), seed: Long = 42): FiCSUM =
-    new FiCSUM("ER", d, k, FingerprintSpec.errorRate(d), cfg, seed)
+  def errorRate(d: Int, k: Int, seed: Long = 42): FiCSUM =
+    new FiCSUM("ER", d, k, FingerprintSpec.errorRate(d), seed = seed)
 
   /** Table V single-function variant ("Shapley Value" uses the per-feature
     * importance dims; every other row applies its function group to all
     * behaviour sources).
     */
-  def singleFunction(label: String, d: Int, k: Int,
-                     fns: IndexedSeq[repro.meta.MetaFunction],
-                     cfg: FiCSUMConfig = FiCSUMConfig(), seed: Long = 42): FiCSUM = {
+  def singleFunction(label: String, d: Int, k: Int, fns: IndexedSeq[repro.meta.MetaFunction],
+                     seed: Long = 42): FiCSUM = {
     val spec =
       if (fns.isEmpty) FingerprintSpec.shapleyOnly(d)
       else FingerprintSpec.singleFunction(d, fns)
-    new FiCSUM(label, d, k, spec, cfg, seed)
+    new FiCSUM(label, d, k, spec, seed = seed)
   }
 }

@@ -3,16 +3,13 @@ package repro.detector
 /** EDDM (Baena-García et al., 2006): tracks the distance between
   * consecutive classification errors. Under a stable concept the mean
   * distance between errors grows; drift is signalled when the current
-  * (mean + 2·std) of error distances falls below `alpha` (drift) or `beta`
-  * (warning) times its observed maximum.
+  * (mean + 2·std) of error distances falls below [[Eddm.Alpha]] (drift) or
+  * [[Eddm.Beta]] (warning) times its observed maximum.
   *
   * Feed 1.0 for an error and 0.0 for a correct prediction.
   */
-final class Eddm(
-    alpha: Double = 0.90,
-    beta: Double = 0.95,
-    minErrors: Int = 30,
-) extends ChangeDetector {
+final class Eddm extends Serializable {
+  import Eddm._
 
   private var i          = 0L
   private var lastError  = -1L
@@ -22,14 +19,17 @@ final class Eddm(
   private var maxLevel   = Double.MinValue
   private var warningFlag = false
 
-  override def warning: Boolean = warningFlag
+  /** True while the detector is in its warning zone. */
+  def warning: Boolean = warningFlag
 
-  override def reset(): Unit = {
+  /** Clear all state. */
+  def reset(): Unit = {
     i = 0; lastError = -1; numErrors = 0
     mean = 0.0; m2 = 0.0; maxLevel = Double.MinValue; warningFlag = false
   }
 
-  override def add(value: Double): Boolean = {
+  /** Feed one value; returns true iff a change was detected at this step. */
+  def add(value: Double): Boolean = {
     i += 1
     if (value <= 0.5) return false // correct prediction: nothing to update
     if (lastError >= 0) {
@@ -40,16 +40,21 @@ final class Eddm(
       m2 += delta * (dist - mean)
     }
     lastError = i
-    if (numErrors < minErrors) return false
+    if (numErrors < MinErrors) return false
     val std   = math.sqrt(math.max(m2 / numErrors, 0.0))
     val level = mean + 2.0 * std
     if (level > maxLevel) maxLevel = level
     val ratio = level / maxLevel
-    warningFlag = ratio < beta
-    if (ratio < alpha) {
-      val detected = true
-      reset()
-      detected
-    } else false
+    warningFlag = ratio < Beta
+    if (ratio < Alpha) { reset(); true } else false
   }
+}
+
+object Eddm {
+  /** Drift level, as a fraction of the maximum (mean + 2·std) seen. */
+  final val Alpha = 0.90
+  /** Warning level, as a fraction of the maximum (mean + 2·std) seen. */
+  final val Beta = 0.95
+  /** Errors seen before the level is tested at all. */
+  final val MinErrors = 30
 }

@@ -1,7 +1,7 @@
 package repro.eval
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{FiCSUM, FiCSUMConfig}
+import repro.core.FiCSUM
 import repro.baselines.{Arf, Dwm, Htcd, Rcd}
 import repro.meta.MetaFunctions
 import repro.stream.Datasets
@@ -25,13 +25,11 @@ object Systems {
     case "ARF"    => new Arf(d, k, seed = seed)
     case s if s.startsWith("fn:") =>
       val label = s.stripPrefix("fn:")
-      if (label == "Shapley Value")
-        FiCSUM.singleFunction(s, d, k, IndexedSeq.empty, seed = seed)
-      else {
-        val fns = MetaFunctions.tableVGroups.collectFirst { case (l, f) if l == label => f }
+      val fns =
+        if (label == "Shapley Value") IndexedSeq.empty
+        else MetaFunctions.tableVGroups.collectFirst { case (l, f) if l == label => f }
           .getOrElse(throw new NoSuchElementException(s"unknown function group $label"))
-        FiCSUM.singleFunction(s, d, k, fns, seed = seed)
-      }
+      FiCSUM.singleFunction(s, d, k, fns, seed = seed)
     case other => throw new NoSuchElementException(s"unknown system $other")
   }
 }
@@ -50,14 +48,14 @@ final case class Agg(mean: Double, std: Double) {
   */
 object EvalGrid {
 
-  def run(spark: SparkSession, cells: Seq[Cell], probeEvery: Int = 100): Seq[RunOutcome] = {
+  def run(spark: SparkSession, cells: Seq[Cell]): Seq[RunOutcome] = {
     val sc = spark.sparkContext
     sc.parallelize(cells, cells.length)
       .map { cell =>
         val ds = Datasets.byName(cell.dataset)
         val stream = ds.build(cell.seed)
         val system = Systems.create(cell.system, stream.numFeatures, stream.numClasses, cell.seed)
-        Runner.run(system, stream, cell.seed, probeEvery)
+        Runner.run(system, stream, cell.seed)
       }
       .collect()
       .toSeq

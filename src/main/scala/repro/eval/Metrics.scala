@@ -25,10 +25,16 @@ object Metrics {
     if (math.abs(1 - pe) < 1e-12) 0.0 else (po - pe) / (1 - pe)
   }
 
-  /** Best-tracking model per ground-truth concept (argmax F1), from the
-    * per-timestep (concept, model) co-occurrence counts.
+  /** The co-occurrence table behind C-F1 and best-model selection: for each
+    * ground-truth concept, the F1 of every model id as a tracker of it, from
+    * the per-timestep (concept, model) co-occurrence counts. Concepts and
+    * models come in the count maps' iteration order, which fixes how ties
+    * break and the order of summation.
     */
-  def bestTrackingModel(modelIds: IndexedSeq[Int], conceptIds: IndexedSeq[Int]): Map[Int, Int] = {
+  private def f1Table(
+      modelIds: IndexedSeq[Int],
+      conceptIds: IndexedSeq[Int],
+  ): Seq[(Int, Seq[(Int, Double)])] = {
     val co = scala.collection.mutable.Map.empty[(Int, Int), Int].withDefaultValue(0)
     val byModel = scala.collection.mutable.Map.empty[Int, Int].withDefaultValue(0)
     val byConcept = scala.collection.mutable.Map.empty[Int, Int].withDefaultValue(0)
@@ -39,43 +45,31 @@ object Metrics {
       byConcept(conceptIds(i)) += 1
       i += 1
     }
+    // .toSeq before .map: mapping the key sets would build sets, which
+    // re-order (and, for equal values, deduplicate) the results.
     byConcept.keys.toSeq.map { c =>
-      val best = byModel.keys.toSeq.map { m =>
+      c -> byModel.keys.toSeq.map { m =>
         val tp = co((c, m)).toDouble
         val p = if (byModel(m) > 0) tp / byModel(m) else 0.0
         val r = tp / byConcept(c)
-        val f1 = if (p + r > 0) 2 * p * r / (p + r) else 0.0
-        (m, f1)
-      }.maxBy(_._2)
-      c -> best._1
-    }.toMap
+        m -> (if (p + r > 0) 2 * p * r / (p + r) else 0.0)
+      }
+    }
   }
+
+  /** Best-tracking model per ground-truth concept (argmax F1; the first
+    * model in table order wins a tie).
+    */
+  def bestTrackingModel(modelIds: IndexedSeq[Int], conceptIds: IndexedSeq[Int]): Map[Int, Int] =
+    f1Table(modelIds, conceptIds).map { case (c, f1s) => c -> f1s.maxBy(_._2)._1 }.toMap
 
   /** Co-occurrence C-F1 (paper §II): mean over ground-truth concepts of the
     * best F1 achievable by any single model id.
     */
   def cF1(modelIds: IndexedSeq[Int], conceptIds: IndexedSeq[Int]): Double = {
     require(modelIds.length == conceptIds.length && modelIds.nonEmpty, "need aligned sequences")
-    val co = scala.collection.mutable.Map.empty[(Int, Int), Int].withDefaultValue(0)
-    val byModel = scala.collection.mutable.Map.empty[Int, Int].withDefaultValue(0)
-    val byConcept = scala.collection.mutable.Map.empty[Int, Int].withDefaultValue(0)
-    var i = 0
-    while (i < modelIds.length) {
-      co((conceptIds(i), modelIds(i))) += 1
-      byModel(modelIds(i)) += 1
-      byConcept(conceptIds(i)) += 1
-      i += 1
-    }
-    // .toSeq before .map: mapping a key *set* would deduplicate equal F1s.
-    val f1s = byConcept.keys.toSeq.map { c =>
-      byModel.keys.toSeq.map { m =>
-        val tp = co((c, m)).toDouble
-        val p = if (byModel(m) > 0) tp / byModel(m) else 0.0
-        val r = tp / byConcept(c)
-        if (p + r > 0) 2 * p * r / (p + r) else 0.0
-      }.max
-    }
-    f1s.sum / byConcept.size
+    val table = f1Table(modelIds, conceptIds)
+    table.map { case (_, f1s) => f1s.map(_._2).max }.sum / table.length
   }
 
   /** Discrimination ability (paper §II-A, operationalized per DESIGN.md §6):

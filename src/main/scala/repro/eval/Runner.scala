@@ -21,13 +21,12 @@ final case class RunOutcome(
   */
 object Runner {
 
-  def run(
-      system: StreamSystem,
-      stream: GeneratedStream,
-      seed: Long,
-      probeEvery: Int = 100,
-      probeWarmup: Int = 400,
-  ): RunOutcome = {
+  /** Steps between discrimination probes. */
+  private final val ProbeEvery = 100
+  /** Observations before the first probe, so repositories can form. */
+  private final val ProbeWarmup = 400
+
+  def run(system: StreamSystem, stream: GeneratedStream, seed: Long): RunOutcome = {
     val n = stream.length
     val preds = new Array[Int](n)
     val models = new Array[Int](n)
@@ -39,7 +38,7 @@ object Runner {
       val (p, m) = system.step(o.x, o.y)
       preds(i) = p
       models(i) = m
-      if (i >= probeWarmup && i % probeEvery == 0) {
+      if (i >= ProbeWarmup && i % ProbeEvery == 0) {
         system match {
           case pr: Probeable => pr.probe().foreach(r => probes += ((stream.conceptIds(i), r)))
           case _             => ()

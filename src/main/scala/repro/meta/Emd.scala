@@ -5,11 +5,14 @@ package repro.meta
   *
   * Simplification vs the textbook algorithm (documented in DESIGN.md §4):
   * envelopes are linear interpolations between local extrema rather than
-  * cubic splines, and sifting is capped at `maxSift` passes. The IMFs are
+  * cubic splines, and sifting is capped at `MaxSift` passes. The IMFs are
   * only consumed as discriminative scalars (histogram entropy), for which
   * the oscillatory content extracted by linear-envelope sifting suffices.
   */
 object Emd {
+
+  /** Sifting passes per IMF. */
+  private final val MaxSift = 4
 
   private def envelope(xs: Array[Double], idx: Array[Int]): Array[Double] = {
     val n = xs.length
@@ -46,12 +49,12 @@ object Emd {
     * signal with no interior extrema is a pure trend: its IMF is zero and
     * the residual is the signal itself.
     */
-  def siftImf(xs: Array[Double], maxSift: Int = 4): (Array[Double], Array[Double]) = {
+  def siftImf(xs: Array[Double]): (Array[Double], Array[Double]) = {
     val n = xs.length
     var h = xs.clone()
     var pass = 0
     var ok = true
-    while (pass < maxSift && ok) {
+    while (pass < MaxSift && ok) {
       val (maxIdx, minIdx) = extrema(h)
       // Fewer than one interior extremum of each kind: h is a trend.
       if (maxIdx.length <= 2 || minIdx.length <= 2) {

@@ -20,7 +20,7 @@ object MetaFunctions {
   val Acf2: MetaFunction      = MetaFunction("acf2", SeqStats.acf(_, 2))
   val Pacf1: MetaFunction     = MetaFunction("pacf1", SeqStats.pacf(_, 1))
   val Pacf2: MetaFunction     = MetaFunction("pacf2", SeqStats.pacf(_, 2))
-  val MutualInfo: MetaFunction = MetaFunction("mi", SeqStats.lagMutualInformation(_))
+  val MutualInfo: MetaFunction = MetaFunction("mi", SeqStats.lagMutualInformation)
   val TurningPoint: MetaFunction = MetaFunction("turning", SeqStats.turningPointRate)
   val ImfEntropy1: MetaFunction = MetaFunction("imf1", Emd.imfEntropy(_, 1))
   val ImfEntropy2: MetaFunction = MetaFunction("imf2", Emd.imfEntropy(_, 2))
@@ -29,9 +29,6 @@ object MetaFunctions {
   val all: IndexedSeq[MetaFunction] = IndexedSeq(
     Mean, StdDev, Skew, Kurtosis, Acf1, Acf2, Pacf1, Pacf2,
     MutualInfo, TurningPoint, ImfEntropy1, ImfEntropy2)
-
-  def byName(name: String): MetaFunction =
-    all.find(_.name == name).getOrElse(throw new NoSuchElementException(s"unknown meta function $name"))
 
   /** Table V row groups: the paired functions the paper reports together. */
   val tableVGroups: IndexedSeq[(String, IndexedSeq[MetaFunction])] = IndexedSeq(

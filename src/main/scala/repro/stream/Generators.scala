@@ -45,10 +45,7 @@ final class RandomTreeConcept(
     minDepth: Int = 2,
     labelNoise: Double = 0.0,
 ) extends ConceptGenerator with LabelFunction {
-
-  private sealed trait Node extends Serializable
-  private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
-  private final case class Leaf(label: Int) extends Node
+  import RandomTreeConcept._
 
   private val root: Node = {
     val r = new Random(seed)
@@ -76,6 +73,12 @@ final class RandomTreeConcept(
     } else y0
     Observation(x, y)
   }
+}
+
+object RandomTreeConcept {
+  private sealed trait Node extends Serializable
+  private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
+  private final case class Leaf(label: Int) extends Node
 }
 
 /** Radial-basis-function generator: k Gaussian centroids, each with a class

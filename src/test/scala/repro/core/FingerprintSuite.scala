@@ -117,14 +117,6 @@ class RunningVecSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new RunningVec(2).add(Array(1.0)))
   }
 
-  test("resetDims clears selected dims only") {
-    val rv = new RunningVec(3)
-    rv.add(Array(1.0, 2.0, 3.0)); rv.add(Array(2.0, 3.0, 4.0))
-    rv.resetDims(Seq(1))
-    assert(rv.count(1) == 0 && rv.mean(1) == 0.0)
-    assert(rv.count(0) == 2 && rv.mean(0) == 1.5)
-  }
-
   test("decayDims keeps mean and std but shrinks counts") {
     val rv = new RunningVec(1)
     (1 to 10).foreach(i => rv.add(Array(i.toDouble)))
@@ -135,13 +127,12 @@ class RunningVecSpec extends AnyFunSuite {
     assert(math.abs(rv.count(0) - c * 0.3) < 1e-9)
   }
 
-  test("RunningScalar mean/std/reset") {
+  test("RunningScalar mean/std") {
     val rs = new RunningScalar
+    assert(rs.count == 0 && rs.mean == 0.0 && rs.std == 0.0)
     Seq(1.0, 2.0, 3.0).foreach(rs.add)
     assert(rs.mean == 2.0 && rs.count == 3)
     assert(math.abs(rs.std - math.sqrt(2.0 / 3)) < 1e-9)
-    rs.reset()
-    assert(rs.count == 0 && rs.mean == 0.0 && rs.std == 0.0)
   }
 
   test("ConceptState budget mechanics") {

@@ -1,5 +1,6 @@
 package repro.eval
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 
 class MetricsSpec extends AnyFunSuite {
@@ -61,6 +62,28 @@ class MetricsSpec extends AnyFunSuite {
     val models = IndexedSeq(7, 7, 8, 8, 9, 9)
     val best = bestTrackingModel(models, concepts)
     assert(best(0) == 7 && best(1) == 9)
+  }
+
+  test("property: cF1 is the mean F1 of each concept's best-tracking model, in [0,1]") {
+    val pairs = Gen.nonEmptyListOf(Gen.zip(Gen.choose(0, 5), Gen.choose(0, 4)))
+    val prop = Prop.forAll(pairs) { ps =>
+      val models = ps.map(_._1).toIndexedSeq
+      val concepts = ps.map(_._2).toIndexedSeq
+      // F1 of model m as a tracker of concept c, straight from the sequences.
+      def f1(c: Int, m: Int): Double = {
+        val tp = ps.count(_ == ((m, c))).toDouble
+        if (tp == 0) 0.0 else 2 * tp / (models.count(_ == m) + concepts.count(_ == c))
+      }
+      val best = bestTrackingModel(models, concepts)
+      val v = cF1(models, concepts)
+      val cs = concepts.distinct
+      val expected = cs.map(c => f1(c, best(c))).sum / cs.length
+      best.keySet == cs.toSet &&
+        cs.forall(c => models.distinct.forall(m => f1(c, best(c)) >= f1(c, m) - 1e-12)) &&
+        math.abs(v - expected) <= 1e-12 && v >= 0.0 && v <= 1.0
+    }
+    val result = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(result.passed, result.status.toString)
   }
 
   test("discrimination separates the true model from others in sigma units") {

@@ -140,11 +140,6 @@ class MetaFunctionsSpec extends AnyFunSuite {
     assert(MetaFunctions.all.map(_.name).distinct.length == 12)
   }
 
-  test("byName resolves and rejects") {
-    assert(MetaFunctions.byName("mean").name == "mean")
-    intercept[NoSuchElementException](MetaFunctions.byName("nope"))
-  }
-
   test("Table V groups pair lag functions together") {
     val groups = MetaFunctions.tableVGroups.toMap
     assert(groups("Autocorrelation").map(_.name) == IndexedSeq("acf1", "acf2"))
